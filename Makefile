@@ -116,7 +116,7 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem -json . > BENCH_parallel.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_parallel.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
 	@echo "wrote BENCH_parallel.json"
-	$(GO) test -run '^$$' -bench 'BenchmarkExecAlloc|BenchmarkExecStreamAlloc|BenchmarkEngineQueryCached|BenchmarkViewApplyDelta|BenchmarkHashTable' -benchtime 1x -benchmem -json . ./internal/hashjoin > BENCH_alloc.json
+	$(GO) test -run '^$$' -bench 'BenchmarkExecAlloc|BenchmarkExecStreamAlloc|BenchmarkExecScale|BenchmarkEngineQueryCached|BenchmarkViewApplyDelta|BenchmarkHashTable' -benchtime 1x -benchmem -json . ./internal/hashjoin > BENCH_alloc.json
 	@echo "wrote BENCH_alloc.json"
 	$(GO) run ./cmd/benchcheck -in BENCH_alloc.json -baseline bench_alloc_baseline.txt
 
@@ -128,7 +128,7 @@ bench:
 # the three measured columns and preserves each benchmark's ns/op
 # tolerance.
 bench-baseline:
-	$(GO) test -run '^$$' -bench 'BenchmarkExecAlloc|BenchmarkExecStreamAlloc|BenchmarkEngineQueryCached|BenchmarkViewApplyDelta' -benchtime 1x -benchmem -json . > BENCH_alloc.json
+	$(GO) test -run '^$$' -bench 'BenchmarkExecAlloc|BenchmarkExecStreamAlloc|BenchmarkExecScale|BenchmarkEngineQueryCached|BenchmarkViewApplyDelta' -benchtime 1x -benchmem -json . > BENCH_alloc.json
 	$(GO) run ./cmd/benchcheck -in BENCH_alloc.json -record bench_alloc_baseline.txt
 
 # Examples smoke: build every example binary, then run each one to

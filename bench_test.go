@@ -21,6 +21,7 @@ import (
 	"multijoin"
 	"multijoin/internal/experiments"
 	"multijoin/internal/jointree"
+	"multijoin/internal/relation"
 	"multijoin/internal/strategy"
 )
 
@@ -244,6 +245,42 @@ func benchExecAlloc(b *testing.B, kind strategy.Kind) {
 
 func BenchmarkExecAlloc_FP(b *testing.B) { benchExecAlloc(b, strategy.FP) }
 func BenchmarkExecAlloc_RD(b *testing.B) { benchExecAlloc(b, strategy.RD) }
+
+// BenchmarkExecScale_SP400 measures how the goroutine runtime scales with a
+// plan's processor count: SP on a left-linear tree over 10 relations of 1K
+// tuples, planned for 400 processors. Every join redistributes over 400×400
+// tuple streams, so the run is dominated by stream fabric rather than join
+// work; goroutines reports the run's goroutine count, which must stay
+// proportional to operation processes, not streams. The result is checked
+// against the sequential reference.
+func BenchmarkExecScale_SP400(b *testing.B) {
+	db, err := multijoin.NewDatabase(10, 1000, 1995)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree, err := multijoin.BuildTree(multijoin.LeftLinear, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const procs = 400
+	q := multijoin.Query{DB: db, Tree: tree, Strategy: strategy.SP, Procs: procs, Params: multijoin.DefaultParams()}
+	want := multijoin.Reference(db, tree)
+	ctx := context.Background()
+	var res *multijoin.Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res, err = multijoin.Exec(ctx, q,
+			multijoin.WithRuntime("parallel"), multijoin.WithMaxProcs(multijoin.HostCap(procs))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if diff := relation.DiffMultiset(res.Result, want); diff != "" {
+		b.Fatalf("SP/400 result differs from reference: %s", diff)
+	}
+	b.ReportMetric(float64(res.Stats.Goroutines), "goroutines")
+}
 
 // BenchmarkExecStreamAlloc_FP measures the allocation profile of the
 // streaming collect path on the same workload as BenchmarkExecAlloc_FP:

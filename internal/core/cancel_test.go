@@ -53,31 +53,69 @@ func settleGoroutines(base, slack int, deadline time.Duration) int {
 // runtimes and asserts a prompt context.Canceled return and no leaked
 // goroutines.
 func TestExecCancelMidQuery(t *testing.T) {
-	q := cancelQuery(t)
+	blocked := cancelQuery(t)
+	blocked.Strategy, blocked.Procs = strategy.RD, 80
+	inputs := []struct {
+		name string
+		q    Query
+		opts []Option
+		// engine runs the query on an Engine session, whose shared memory
+		// meter must be back at zero once the cancelled run returned.
+		engine bool
+	}{
+		{name: "fp16", q: cancelQuery(t)},
+		// RD at 80 processors redistributes every edge over 80×80 streams
+		// into depth-1 mailboxes of 16-tuple batches: the cancel lands while
+		// many producers are blocked posting into one full mailbox.
+		{name: "rd80-depth1", q: blocked, opts: []Option{WithChannelDepth(1), WithBatchTuples(16)}, engine: true},
+	}
 	for _, rt := range builtinRuntimes {
 		t.Run(rt, func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			errc := make(chan error, 1)
-			start := time.Now()
-			go func() {
-				_, err := Exec(ctx, q, WithRuntime(rt))
-				errc <- err
-			}()
-			time.Sleep(5 * time.Millisecond)
-			cancel()
-			select {
-			case err := <-errc:
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("Exec after cancel returned %v, want context.Canceled", err)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatalf("Exec did not return within 10s of cancellation (started %v ago)", time.Since(start))
-			}
-			after := settleGoroutines(before, 2, 5*time.Second)
-			if after > before+2 {
-				t.Errorf("goroutine leak after cancel: %d before, %d after", before, after)
+			for _, in := range inputs {
+				t.Run(in.name, func(t *testing.T) {
+					before := runtime.NumGoroutine()
+					var eng *Engine
+					if in.engine {
+						var err error
+						if eng, err = Open(in.q.DB); err != nil {
+							t.Fatal(err)
+						}
+					}
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					errc := make(chan error, 1)
+					start := time.Now()
+					go func() {
+						opts := append([]Option{WithRuntime(rt)}, in.opts...)
+						var err error
+						if eng != nil {
+							_, err = eng.Exec(ctx, in.q, opts...)
+						} else {
+							_, err = Exec(ctx, in.q, opts...)
+						}
+						errc <- err
+					}()
+					time.Sleep(5 * time.Millisecond)
+					cancel()
+					select {
+					case err := <-errc:
+						if !errors.Is(err, context.Canceled) {
+							t.Fatalf("Exec after cancel returned %v, want context.Canceled", err)
+						}
+					case <-time.After(10 * time.Second):
+						t.Fatalf("Exec did not return within 10s of cancellation (started %v ago)", time.Since(start))
+					}
+					if eng != nil {
+						if live := eng.MemoryLive(); live != 0 {
+							t.Errorf("engine meter live = %d bytes after cancel, want 0", live)
+						}
+						eng.Close()
+					}
+					after := settleGoroutines(before, 2, 5*time.Second)
+					if after > before+2 {
+						t.Errorf("goroutine leak after cancel: %d before, %d after", before, after)
+					}
+				})
 			}
 		})
 	}

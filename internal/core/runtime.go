@@ -135,7 +135,7 @@ type Result struct {
 // be nil) returns the batch to the runtime's pool and must be invoked
 // exactly once, when the consumer is done with the tuples. Push blocks
 // until the consumer accepts the batch (streaming backpressure, which
-// propagates through the runtime's channels up the whole plan) or ctx is
+// propagates through the runtime's mailboxes up the whole plan) or ctx is
 // cancelled, in which case it returns the context's error and the runtime
 // keeps ownership. Implementations must be safe for use from the single
 // goroutine the runtime pushes from; they need not be concurrency-safe.
@@ -174,8 +174,9 @@ type Options struct {
 	// Params.BatchTuples, the goroutine runtimes at
 	// parallel.DefaultBatchTuples).
 	BatchTuples int
-	// ChannelDepth is the per-stream buffer capacity in batches on
-	// wall-clock runtimes. Zero means the runtime's default.
+	// ChannelDepth is the number of batches buffered per incoming stream
+	// (in the consumer's mailbox) on wall-clock runtimes. Zero means the
+	// runtime's default.
 	ChannelDepth int
 	// MemoryBudget is the per-run live-tuple memory budget in bytes on the
 	// spill runtime; join operands overflowing it are serialized to
@@ -217,13 +218,12 @@ func WithMaxProcs(n int) Option { return func(o *Options) { o.MaxProcs = n } }
 // WithBatchTuples sets the transport batch size (pipelining granularity).
 func WithBatchTuples(n int) Option { return func(o *Options) { o.BatchTuples = n } }
 
-// WithChannelDepth sets the per-stream buffer capacity, in batches, on
-// wall-clock runtimes. The depth is resolved once per run and applied to
-// every stream alike; each process's mailbox is additionally sized to
-// depth × its incoming stream count, so a stream forwarder can always
-// buffer a full channel's worth of batches without blocking a producer
-// whose consumer has not started yet (the deadlock-freedom heuristic —
-// see parallel.Config.ChannelDepth).
+// WithChannelDepth sets the number of batches buffered per incoming tuple
+// stream on wall-clock runtimes. The depth is resolved once per run and
+// applied to every stream alike: producers post straight into their
+// consumer's mailbox, which holds depth × its incoming stream count
+// batches, so producers of a consumer that has not started yet can post
+// that much before they block (see parallel.Config.ChannelDepth).
 func WithChannelDepth(n int) Option { return func(o *Options) { o.ChannelDepth = n } }
 
 // WithMemoryBudget caps the spill runtime's live tuple memory at bytes:

@@ -63,10 +63,10 @@
 // Data streams are credit-windowed: a sender starts with a window of W
 // batch credits per stream, spends one per DATA frame, and blocks when the
 // window is empty; the receiver grants a credit back only after the batch
-// has been handed to the consuming process's channel. The receiver thus
+// has been posted into the consuming process's mailbox. The receiver thus
 // buffers at most W undelivered batches per stream, a slow consumer
 // propagates backpressure to the remote producer exactly like a full
-// channel does in-process, and one stalled stream never blocks the other
+// mailbox does in-process, and one stalled stream never blocks the other
 // streams multiplexed on the same connection (frames are dispatched to
 // per-stream queues before delivery).
 //

@@ -21,7 +21,7 @@ var errCancelled = errors.New("dist: cancelled by peer")
 // Flow control: each egress stream starts with window credits; sending one
 // DATA frame costs one credit, and the receiving plane grants a credit
 // back (CREDIT frame on the same connection, reverse direction) only after
-// the batch has been handed to the consuming process's channel. The
+// the batch has been posted into the consuming process's mailbox. The
 // receiver dispatches frames off the connection into per-stream queues of
 // capacity window — the protocol guarantees at most window undelivered
 // batches per stream, so dispatch never blocks on a slow stream and one
@@ -187,13 +187,14 @@ func (p *plane) serve(c *Conn) {
 }
 
 // ingress is the run's Partial.Ingress hook: it pumps stream sid's queue
-// into the consuming process's channel, granting one credit per delivered
-// batch, and closes the channel when the queue ends (EOS received).
-func (p *plane) ingress(sid int, ch chan *relation.Batch) {
+// straight into the consuming process's mailbox through deliver, granting
+// one credit per delivered batch, and calls end when the queue ends (EOS
+// received).
+func (p *plane) ingress(sid int, deliver func(*relation.Batch) bool, end func()) {
 	in := p.in[uint32(sid)]
 	if in == nil {
 		p.fail(fmt.Errorf("dist: run opened unexpected ingress stream %d", sid))
-		close(ch)
+		end()
 		return
 	}
 	p.movers.Add(1)
@@ -204,12 +205,10 @@ func (p *plane) ingress(sid int, ch chan *relation.Batch) {
 			select {
 			case b, ok := <-in.q:
 				if !ok {
-					close(ch)
+					end()
 					return
 				}
-				select {
-				case ch <- b:
-				case <-p.ctx.Done():
+				if !deliver(b) {
 					return
 				}
 				if c := in.src.Load(); c != nil {

@@ -7,10 +7,13 @@
 //
 //   - every operation process of the plan (one operator replica per
 //     processor in Op.Procs) becomes one worker goroutine;
-//   - every tuple stream becomes one buffered channel — n×m channels per
-//     redistribution edge from n producer to m consumer processes, n
-//     channels per local edge — exactly the stream structure counted by
-//     engine.Stats and xra.Plan.NumStreams;
+//   - every operation process owns one buffered mailbox, and a tuple stream
+//     is a logical tag on it: producers post their batches and the final
+//     end-of-stream marker straight into the consumer's mailbox. The n×m
+//     streams per redistribution edge (n per local edge) counted by
+//     engine.Stats and xra.Plan.NumStreams are enumerated and accounted
+//     individually, but cost no channel or goroutine of their own, so a
+//     run's goroutines are proportional to its processes;
 //   - operand redistribution hash-partitions result batches over the
 //     consumer's processes with relation.HashKey, identical to the
 //     simulator, so both runtimes compute the identical result multiset;
@@ -78,12 +81,12 @@ type Sink interface {
 // blocks the producing worker (which selects on its run's cancellation).
 const sharedQueueDepth = 256
 
-// ProcPool is a shared set of modeled processors: one run-queue dispatcher
-// goroutine each, serving the operation processes of *every* run configured
-// with the pool (Config.Pool). It is the session-level resource that caps
-// concurrent computation across in-flight queries — the engine's
-// counterpart of a per-run dispatcher set. Close stops the dispatchers; it
-// must not be called while runs still use the pool.
+// ProcPool is a set of modeled processors: one run-queue dispatcher
+// goroutine each. Shared (Config.Pool), it serves the operation processes
+// of *every* run configured with it — the session-level resource that caps
+// concurrent computation across in-flight queries; a run without one
+// starts a private pool for its own processes. Close stops the
+// dispatchers; it must not be called while runs still use the pool.
 type ProcPool struct {
 	queues []chan task
 	stop   chan struct{}
@@ -96,14 +99,27 @@ func NewProcPool(n int) *ProcPool {
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)
 	}
+	p := newProcPool(n, sharedQueueDepth)
+	p.start()
+	return p
+}
+
+// newProcPool creates the run queues of n modeled processors, each buffered
+// for depth tasks, without starting their dispatchers.
+func newProcPool(n, depth int) *ProcPool {
 	p := &ProcPool{queues: make([]chan task, n), stop: make(chan struct{})}
 	for i := range p.queues {
-		q := make(chan task, sharedQueueDepth)
-		p.queues[i] = q
+		p.queues[i] = make(chan task, depth)
+	}
+	return p
+}
+
+// start launches one dispatcher goroutine per run queue.
+func (p *ProcPool) start() {
+	for _, q := range p.queues {
 		p.wg.Add(1)
 		go p.dispatch(q)
 	}
-	return p
 }
 
 // Size returns the number of modeled processors (dispatchers).
@@ -117,10 +133,11 @@ func (p *ProcPool) Close() {
 	p.wg.Wait()
 }
 
-// dispatch is one shared modeled processor. Unlike a per-run dispatcher it
-// must not exit on any single run's cancellation: a cancelled run's workers
-// unwind on their own, and a stale queued task is completed harmlessly (the
-// taskDone send is buffered for the one task its worker had outstanding).
+// dispatch is one modeled processor: it serializes the operator work of
+// every process bound to its run queue. It does not exit on any run's
+// cancellation: a cancelled run's workers unwind on their own, and a stale
+// queued task is completed harmlessly (the taskDone send is buffered for
+// the one task its worker had outstanding, so it never blocks).
 func (p *ProcPool) dispatch(q chan task) {
 	defer p.wg.Done()
 	for {
@@ -147,12 +164,11 @@ type Config struct {
 	// pipelining granularity and the batch-pool capacity). Zero means
 	// DefaultBatchTuples.
 	BatchTuples int
-	// ChannelDepth is the buffer capacity, in batches, of each tuple
-	// stream channel; it is resolved once per run, not per edge. A
-	// process's mailbox is additionally sized to ChannelDepth × its
-	// incoming stream count, so that every stream forwarder can buffer a
-	// full channel's worth of batches without blocking a producer whose
-	// consumer has not been scheduled yet. Zero means DefaultChannelDepth.
+	// ChannelDepth is the number of batches buffered per incoming tuple
+	// stream; it is resolved once per run, not per edge. Each process's
+	// mailbox holds ChannelDepth × its incoming stream count items, so a
+	// producer whose consumer has not been scheduled yet can post that
+	// many batches before it blocks. Zero means DefaultChannelDepth.
 	ChannelDepth int
 	// MemoryBudget, when positive, switches the run to out-of-core mode
 	// (the "spill" runtime): live pooled batches and buffered join
@@ -243,11 +259,14 @@ func (c Config) withDefaults(plan *xra.Plan) Config {
 type Stats struct {
 	// Processes is the number of operation processes (worker goroutines).
 	Processes int
-	// Streams is the number of tuple-stream channels opened.
+	// Streams is the number of logical tuple streams (producer × consumer
+	// process pairs); each is a tag on its consumer's mailbox, not a
+	// channel.
 	Streams int
-	// Goroutines is the total number of goroutines launched: workers,
-	// one stream forwarder per incoming stream, dependency waiters, and
-	// one dispatcher per modeled processor.
+	// Goroutines is the total number of goroutines launched: one worker
+	// per local process, one waiter per operator with pending After
+	// dependencies, and one dispatcher per modeled processor of a run
+	// without a shared Pool.
 	Goroutines int
 	// MaxProcs is the number of modeled processors (run-queue
 	// dispatchers).
@@ -290,8 +309,8 @@ type RunResult struct {
 }
 
 // port identifies one logical input of an operator (same roles as the
-// simulator's ports).
-type port int
+// simulator's ports). It is a byte so a mailbox item stays two words.
+type port uint8
 
 const (
 	portBuild port = iota
@@ -303,8 +322,8 @@ const (
 // end-of-stream marker for one port. Data batches are pool-owned: the
 // consumer that applies one returns it to the run's BatchPool.
 type item struct {
-	port  port
 	batch *relation.Batch
+	port  port
 	eos   bool
 }
 
@@ -316,12 +335,26 @@ type task struct {
 	it item
 }
 
-// stream is one tuple stream: a buffered channel from one producer process
-// to one consumer process. Closing the channel ends the stream.
+// stream is the producer side of one tuple stream: the consumer process
+// whose mailbox receives its batches and end-of-stream marker, tagged with
+// the consumer port. A stream whose consumer runs on another node posts
+// into the transport's egress channel instead, and ends it by closing it.
 type stream struct {
-	ch     chan *relation.Batch
+	to     *inst
+	egress chan *relation.Batch
 	port   port
 	remote bool // producer and consumer bound to different processor ids
+}
+
+// post delivers one item to w's mailbox, giving up when the run is
+// cancelled. It reports whether the item was delivered.
+func (r *runtimeState) post(w *inst, it item) bool {
+	select {
+	case w.mailbox <- it:
+		return true
+	case <-r.ctx.Done():
+		return false
+	}
 }
 
 // consumerEdge describes where an operator's output goes.
@@ -398,11 +431,10 @@ type runtimeState struct {
 	failErr   error
 	cancelRun context.CancelFunc
 
-	// queues are the per-processor run queues, one dispatcher goroutine
-	// each; plan processor id p is served by queues[p mod len(queues)].
-	queues    []chan task
-	queueStop chan struct{} // closed when all workers finished
-	dwg       sync.WaitGroup
+	// procs are the modeled processors: Config.Pool, or a private pool
+	// started in launch and closed once every worker finished. Plan
+	// processor id p is served by procs.queues[p mod procs.Size()].
+	procs *ProcPool
 
 	collect *inst
 	start   time.Time
@@ -421,10 +453,11 @@ func Run(plan *xra.Plan, base func(leaf int) *relation.Relation, cfg Config) (*R
 	return RunContext(context.Background(), plan, base, cfg)
 }
 
-// RunContext is Run with cancellation: every worker goroutine, stream
-// forwarder, dispatcher and dependency waiter selects on ctx.Done() at each
-// blocking point, so a cancelled query tears the whole process tree down —
-// no goroutine outlives the call — and the context's error is returned
+// RunContext is Run with cancellation: every worker goroutine and
+// dependency waiter selects on ctx.Done() at each blocking point — every
+// mailbox post included — and a run's private dispatchers stop once its
+// workers returned, so a cancelled query tears the whole process tree down
+// (no goroutine outlives the call) and the context's error is returned
 // instead of a partial result.
 func RunContext(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, cfg Config) (*RunResult, error) {
 	return run(ctx, plan, base, cfg, nil)
@@ -434,7 +467,7 @@ func RunContext(ctx context.Context, plan *xra.Plan, base func(leaf int) *relati
 // the final relation, the collect process pushes each pooled result batch
 // into sink (transferring ownership; the consumer's release returns it to
 // the run's pool) and RunResult.Result is nil. Push backpressure propagates
-// upstream through the plan's channels, and cancelling ctx mid-stream tears
+// upstream through the plan's mailboxes, and cancelling ctx mid-stream tears
 // every worker down exactly like RunContext.
 func RunStream(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Relation, cfg Config, sink Sink) (*RunResult, error) {
 	if sink == nil {
@@ -503,8 +536,7 @@ func run(ctx context.Context, plan *xra.Plan, base func(leaf int) *relation.Rela
 	r.launch()
 	r.wg.Wait()
 	if r.cfg.Pool == nil {
-		close(r.queueStop)
-		r.dwg.Wait()
+		r.procs.Close()
 	}
 	if r.spill != nil {
 		r.spill.cleanup()
@@ -527,9 +559,9 @@ func (r *runtimeState) fail(err error) {
 	})
 }
 
-// setup builds operator and process state, wires dependency edges, creates
-// one channel per tuple stream and one run queue per modeled processor, and
-// pre-places base relation fragments.
+// setup builds operator and process state, wires dependency edges, tags
+// every tuple stream onto its consumer's mailbox, creates one run queue per
+// modeled processor, and pre-places base relation fragments.
 func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 	for _, op := range r.plan.Ops {
 		os := &opState{op: op, ready: make(chan struct{}), done: make(chan struct{})}
@@ -538,17 +570,12 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 	}
 	// Per-processor run queues: plan processor id p maps to queue
 	// p mod MaxProcs. A shared pool (engine session) brings its own queues
-	// and long-lived dispatchers; otherwise the run creates private queues,
-	// buffered for every process so a send can only block while the queue
-	// is genuinely backed up.
-	if r.cfg.Pool != nil {
-		r.queues = r.cfg.Pool.queues
-	} else {
-		r.queues = make([]chan task, r.cfg.MaxProcs)
-		for i := range r.queues {
-			r.queues[i] = make(chan task, r.plan.NumProcesses()+1)
-		}
-		r.queueStop = make(chan struct{})
+	// and long-lived dispatchers; otherwise the run creates a private pool,
+	// its queues buffered for every process so a send can only block while
+	// the queue is genuinely backed up.
+	r.procs = r.cfg.Pool
+	if r.procs == nil {
+		r.procs = newProcPool(r.cfg.MaxProcs, r.plan.NumProcesses()+1)
 	}
 	// Wire consumer edges and After dependencies.
 	for _, os := range r.order {
@@ -579,8 +606,9 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 				idx:        i,
 				proc:       procID,
 				local:      r.partial == nil || r.partial.Local(procID),
-				queue:      r.queues[queueIndex(procID, len(r.queues))],
+				queue:      r.procs.queues[queueIndex(procID, r.procs.Size())],
 				taskDone:   make(chan struct{}, 1),
+				eosWant:    make(map[port]int),
 				eosGot:     make(map[port]int),
 				emitTuples: r.cfg.BatchTuples,
 				emitPool:   r.pool,
@@ -698,66 +726,70 @@ func (r *runtimeState) setup(base func(leaf int) *relation.Relation) error {
 			}
 		}
 	}
-	// Open the tuple streams, iterating the canonical enumeration (Streams)
+	// Tag the tuple streams, iterating the canonical enumeration (Streams)
 	// so a partial run's stream ids can never drift from its peers': on a
-	// local edge, producer process i feeds consumer process i over one
-	// channel; on a redistribution edge every producer process opens one
-	// channel to every consumer process. The per-stream depth is resolved
-	// once per run (Config.ChannelDepth). Streams with both endpoints on
-	// other nodes are skipped; streams crossing the node boundary keep
-	// their channel and hand the far end to the transport.
-	depth := r.cfg.ChannelDepth
-	specs := Streams(r.plan)
-	for i := range specs {
-		sp := &specs[i]
+	// local edge, producer process i posts into consumer process i's
+	// mailbox; on a redistribution edge every producer process posts into
+	// every consumer process's mailbox. Each stream counts once toward its
+	// consumer's end-of-stream accounting on its port. Streams with both
+	// endpoints on other nodes are skipped; streams crossing the node
+	// boundary are handed to the transport: an egress channel the transport
+	// drains, or (once the mailboxes exist) an ingress delivery hook.
+	var ingress []StreamSpec
+	eachStream(r.plan, func(sp *StreamSpec) {
 		fromOS, toOS := r.ops[sp.From.ID], r.ops[sp.To.ID]
 		w := fromOS.instances[sp.FromIdx]
 		dest := toOS.instances[sp.ToIdx]
 		if !w.local && !dest.local {
-			continue
+			return
 		}
-		s := r.newStream(portOf(toOS.op, sp.In), sp.FromProc, sp.ToProc, depth)
-		if w.local {
-			if w.outs == nil {
-				nd := len(toOS.instances)
-				if sp.LocalEdge {
-					nd = 1
-				}
-				w.outs = make([]*stream, nd)
-				w.outBufs = make([]*relation.Batch, nd)
-			}
-			d := sp.ToIdx
-			if sp.LocalEdge {
-				d = 0
-			}
-			w.outs[d] = s
-		}
+		p := portOf(toOS.op, sp.In)
 		if dest.local {
-			dest.incoming = append(dest.incoming, s)
-			if !w.local {
-				r.partial.Ingress(sp.ID, s.ch)
-			}
-		} else {
-			r.partial.Egress(sp.ID, s.ch)
+			dest.eosWant[p]++
 		}
-	}
-	// End-of-stream accounting and mailboxes: every incoming stream
-	// delivers exactly one end-of-stream marker on its port.
+		if !w.local {
+			ingress = append(ingress, *sp)
+			return
+		}
+		if w.outs == nil {
+			nd := len(toOS.instances)
+			if sp.LocalEdge {
+				nd = 1
+			}
+			w.outs = make([]stream, nd)
+			w.outBufs = make([]*relation.Batch, nd)
+		}
+		d := sp.ToIdx
+		if sp.LocalEdge {
+			d = 0
+		}
+		s := &w.outs[d]
+		*s = stream{to: dest, port: p, remote: sp.FromProc != sp.ToProc}
+		if !dest.local {
+			s.egress = make(chan *relation.Batch, r.cfg.ChannelDepth)
+			r.partial.Egress(sp.ID, s.egress)
+		}
+	})
+	// One mailbox per local process, holding ChannelDepth batches per
+	// incoming stream.
 	for _, os := range r.order {
 		for _, w := range os.instances {
 			if !w.local {
 				continue
 			}
-			w.eosWant = make(map[port]int)
-			for _, s := range w.incoming {
-				w.eosWant[s.port]++
+			in := 0
+			for _, n := range w.eosWant {
+				in += n
 			}
-			md := len(w.incoming) * depth
-			if md < 1 {
-				md = 1
-			}
-			w.mailbox = make(chan item, md)
+			w.mailbox = make(chan item, max(1, in*r.cfg.ChannelDepth))
 		}
+	}
+	for _, sp := range ingress {
+		dest := r.ops[sp.To.ID].instances[sp.ToIdx]
+		p := portOf(sp.To, sp.In)
+		r.partial.Ingress(sp.ID,
+			func(b *relation.Batch) bool { return r.post(dest, item{port: p, batch: b}) },
+			func() { r.post(dest, item{port: p, eos: true}) })
 	}
 	return nil
 }
@@ -830,14 +862,6 @@ func queueIndex(proc, n int) int {
 	return i
 }
 
-func (r *runtimeState) newStream(p port, fromProc, toProc, depth int) *stream {
-	return &stream{
-		ch:     make(chan *relation.Batch, depth),
-		port:   p,
-		remote: fromProc != toProc,
-	}
-}
-
 // portOf resolves which logical port an input feeds, by identity with the
 // operator's input fields (as the simulator does).
 func portOf(op *xra.Op, in *xra.Input) port {
@@ -851,21 +875,16 @@ func portOf(op *xra.Op, in *xra.Input) port {
 	}
 }
 
-// launch starts dispatchers, dependency waiters, stream forwarders and
-// workers. Every blocking channel operation selects on ctx.Done() so
-// cancellation unwinds the whole goroutine tree.
+// launch starts dispatchers, dependency waiters and one worker per local
+// process — nothing per stream. Every blocking channel operation selects on
+// ctx.Done() so cancellation unwinds the whole goroutine tree.
 func (r *runtimeState) launch() {
 	done := r.ctx.Done()
 	if r.cfg.Pool == nil {
-		for _, q := range r.queues {
-			q := q
-			r.dwg.Add(1)
-			r.goroutines++
-			go r.dispatch(q)
-		}
+		r.procs.start()
+		r.goroutines += r.procs.Size()
 	}
 	for _, os := range r.order {
-		os := os
 		if len(os.deps) == 0 || os.locals == 0 {
 			close(os.ready)
 		} else {
@@ -884,61 +903,12 @@ func (r *runtimeState) launch() {
 			}()
 		}
 		for _, w := range os.instances {
-			w := w
 			if !w.local {
 				continue
-			}
-			for _, s := range w.incoming {
-				s := s
-				r.wg.Add(1)
-				r.goroutines++
-				go func() {
-					defer r.wg.Done()
-					for {
-						select {
-						case b, ok := <-s.ch:
-							if !ok {
-								select {
-								case w.mailbox <- item{port: s.port, eos: true}:
-								case <-done:
-								}
-								return
-							}
-							select {
-							case w.mailbox <- item{port: s.port, batch: b}:
-							case <-done:
-								return
-							}
-						case <-done:
-							return
-						}
-					}
-				}()
 			}
 			r.wg.Add(1)
 			r.goroutines++
 			go w.run()
-		}
-	}
-}
-
-// dispatch is one modeled processor: it serializes the operator work of
-// every process bound to its run queue. It exits when all workers finished
-// (queueStop) or the run is cancelled.
-func (r *runtimeState) dispatch(q chan task) {
-	defer r.dwg.Done()
-	done := r.ctx.Done()
-	for {
-		select {
-		case t := <-q:
-			t.w.applyJoin(t.it)
-			// taskDone is buffered for the one outstanding task its worker
-			// can have, so this send never blocks.
-			t.w.taskDone <- struct{}{}
-		case <-r.queueStop:
-			return
-		case <-done:
-			return
 		}
 	}
 }

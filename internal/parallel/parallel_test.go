@@ -87,40 +87,64 @@ func TestSimulatorEquivalence(t *testing.T) {
 
 // TestStructuralCounters checks that the runtime opens exactly the stream
 // and process structure the plan declares — the quantities engine.Stats
-// counts on the virtual machine.
+// counts on the virtual machine — and that its goroutines are proportional
+// to processes, not streams: one worker per process, one waiter per
+// operator with After dependencies, one dispatcher per modeled processor,
+// and nothing per stream. The RD case at 80 processors has far more
+// streams than goroutines.
 func TestStructuralCounters(t *testing.T) {
 	db := testDB(t, 5, 200)
 	tree, err := jointree.BuildShape(jointree.LeftLinear, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := core.Query{DB: db, Tree: tree, Strategy: strategy.FP, Procs: 8}
-	plan, err := q.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.ExecuteParallel(q, parallel.Config{MaxProcs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Processes != plan.NumProcesses() {
-		t.Errorf("Processes = %d, want %d", res.Stats.Processes, plan.NumProcesses())
-	}
-	if res.Stats.Streams != plan.NumStreams() {
-		t.Errorf("Streams = %d, want %d", res.Stats.Streams, plan.NumStreams())
-	}
-	if res.Stats.MaxProcs != 4 {
-		t.Errorf("MaxProcs = %d, want 4", res.Stats.MaxProcs)
-	}
-	if res.Stats.Goroutines < plan.NumProcesses()+plan.NumStreams() {
-		t.Errorf("Goroutines = %d, want at least processes+streams = %d",
-			res.Stats.Goroutines, plan.NumProcesses()+plan.NumStreams())
-	}
-	if len(res.Stats.OpWall) != len(plan.Ops) {
-		t.Errorf("OpWall has %d entries, want %d", len(res.Stats.OpWall), len(plan.Ops))
-	}
-	if res.WallTime <= 0 {
-		t.Errorf("WallTime = %v, want > 0", res.WallTime)
+	for _, tc := range []struct {
+		kind            strategy.Kind
+		procs, maxProcs int
+	}{
+		{strategy.FP, 8, 4},
+		{strategy.RD, 80, 4},
+	} {
+		t.Run(fmt.Sprintf("%v/%d", tc.kind, tc.procs), func(t *testing.T) {
+			q := core.Query{DB: db, Tree: tree, Strategy: tc.kind, Procs: tc.procs}
+			plan, err := q.Plan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := core.ExecuteParallel(q, parallel.Config{MaxProcs: tc.maxProcs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := res.Stats
+			if st.Processes != plan.NumProcesses() {
+				t.Errorf("Processes = %d, want %d", st.Processes, plan.NumProcesses())
+			}
+			if st.Streams != plan.NumStreams() {
+				t.Errorf("Streams = %d, want %d", st.Streams, plan.NumStreams())
+			}
+			if st.MaxProcs != tc.maxProcs {
+				t.Errorf("MaxProcs = %d, want %d", st.MaxProcs, tc.maxProcs)
+			}
+			waiters := 0
+			for _, op := range plan.Ops {
+				if len(op.After) > 0 {
+					waiters++
+				}
+			}
+			if want := plan.NumProcesses() + waiters + tc.maxProcs; st.Goroutines != want {
+				t.Errorf("Goroutines = %d, want processes %d + waiters %d + dispatchers %d = %d",
+					st.Goroutines, plan.NumProcesses(), waiters, tc.maxProcs, want)
+			}
+			if tc.procs >= 80 && st.Streams < 10*st.Goroutines {
+				t.Errorf("Streams = %d, Goroutines = %d: want streams ≫ goroutines", st.Streams, st.Goroutines)
+			}
+			if len(st.OpWall) != len(plan.Ops) {
+				t.Errorf("OpWall has %d entries, want %d", len(st.OpWall), len(plan.Ops))
+			}
+			if res.WallTime <= 0 {
+				t.Errorf("WallTime = %v, want > 0", res.WallTime)
+			}
+		})
 	}
 }
 
@@ -226,8 +250,8 @@ func TestVerifyParallel(t *testing.T) {
 }
 
 // TestRaceStress is the -race stress test: many concurrent small queries
-// across every strategy, exercising scheduler interleavings of workers,
-// forwarders and dependency waiters. Data is seed-pinned; only goroutine
+// across every strategy, exercising scheduler interleavings of workers
+// posting into shared mailboxes, dispatchers and dependency waiters. Data is seed-pinned; only goroutine
 // scheduling varies between runs.
 func TestRaceStress(t *testing.T) {
 	if testing.Short() {

@@ -35,6 +35,15 @@ type StreamSpec struct {
 // Streams enumerates every tuple stream of the plan in the canonical order.
 // len(Streams(p)) == p.NumStreams() for any valid plan.
 func Streams(plan *xra.Plan) []StreamSpec {
+	specs := make([]StreamSpec, 0, plan.NumStreams())
+	eachStream(plan, func(sp *StreamSpec) { specs = append(specs, *sp) })
+	return specs
+}
+
+// eachStream calls yield for every tuple stream of the plan in the
+// canonical order without materializing the enumeration; the spec passed
+// to yield is reused between calls.
+func eachStream(plan *xra.Plan, yield func(*StreamSpec)) {
 	type edge struct {
 		to *xra.Op
 		in *xra.Input
@@ -45,7 +54,7 @@ func Streams(plan *xra.Plan) []StreamSpec {
 			consumers[in.From] = edge{to: o, in: in}
 		}
 	}
-	var specs []StreamSpec
+	var sp StreamSpec
 	for _, from := range plan.Ops {
 		c, ok := consumers[from.ID]
 		if !ok {
@@ -53,26 +62,29 @@ func Streams(plan *xra.Plan) []StreamSpec {
 		}
 		if xra.LocalEdge(from, c.to, c.in) {
 			for i := range from.Procs {
-				specs = append(specs, StreamSpec{
-					ID: len(specs), From: from, To: c.to, In: c.in,
+				sp = StreamSpec{
+					ID: sp.ID, From: from, To: c.to, In: c.in,
 					FromIdx: i, ToIdx: i,
 					FromProc: from.Procs[i], ToProc: c.to.Procs[i],
 					LocalEdge: true,
-				})
+				}
+				yield(&sp)
+				sp.ID++
 			}
 			continue
 		}
 		for i, fp := range from.Procs {
 			for d, tp := range c.to.Procs {
-				specs = append(specs, StreamSpec{
-					ID: len(specs), From: from, To: c.to, In: c.in,
+				sp = StreamSpec{
+					ID: sp.ID, From: from, To: c.to, In: c.in,
 					FromIdx: i, ToIdx: d,
 					FromProc: fp, ToProc: tp,
-				})
+				}
+				yield(&sp)
+				sp.ID++
 			}
 		}
 	}
-	return specs
 }
 
 // InstanceInStreams counts the canonical streams feeding consumer instance
@@ -106,10 +118,14 @@ type Partial struct {
 
 	// Ingress is called during setup for every stream whose producer is
 	// remote and whose consumer is local, identified by its canonical
-	// stream id (Streams). The transport must feed decoded batches into ch
-	// and close ch at end-of-stream; batches must come from BatchPool so
-	// the consuming process can return them after use.
-	Ingress func(id int, ch chan *relation.Batch)
+	// stream id (Streams). The transport hands each decoded batch to
+	// deliver, which posts it straight into the consuming process's
+	// mailbox and blocks while the mailbox is full; it reports false, with
+	// the batch not taken, once the run is cancelled. At end-of-stream the
+	// transport calls end exactly once (it also returns early on
+	// cancellation). Batches must come from BatchPool so the consuming
+	// process can return them after use.
+	Ingress func(id int, deliver func(*relation.Batch) bool, end func())
 
 	// Egress is called during setup for every stream whose producer is
 	// local and whose consumer is remote. The transport must drain ch until

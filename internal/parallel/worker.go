@@ -31,12 +31,13 @@ type inst struct {
 	taskDone chan struct{}
 	scratch  relation.Batch
 
-	// Input side.
-	mailbox  chan item
-	incoming []*stream
-	eosWant  map[port]int
-	eosGot   map[port]int
-	stash    []item // input buffered while After dependencies are pending
+	// Input side: the one mailbox every incoming stream posts into, and
+	// the end-of-stream markers expected (one per incoming stream) and
+	// received per port.
+	mailbox chan item
+	eosWant map[port]int
+	eosGot  map[port]int
+	stash   []item // input buffered while After dependencies are pending
 
 	// Join algorithm state (exactly one is non-nil for join operators).
 	// grace replaces both in-memory algorithms when the run has a memory
@@ -51,13 +52,14 @@ type inst struct {
 	// Scan state: the pre-placed base relation fragment in columnar form.
 	scanBatch relation.Batch
 
-	// Output side: one stream and one pooled batch buffer per destination
-	// process (a single destination on local edges). A nil buffer is
-	// replaced from the pool on first use after each flush. emitTuples and
-	// emitPool are the per-stream transport batch size and its matching
-	// pool, chosen in setup from the operator's estimated per-stream
-	// cardinality (the run default when the stream is expected to fill it).
-	outs       []*stream
+	// Output side: one stream (a consumer mailbox tag) and one pooled
+	// batch buffer per destination process (a single destination on local
+	// edges). A nil buffer is replaced from the pool on first use after
+	// each flush. emitTuples and emitPool are the per-stream transport
+	// batch size and its matching pool, chosen in setup from the operator's
+	// estimated per-stream cardinality (the run default when the stream is
+	// expected to fill it).
+	outs       []stream
 	outBufs    []*relation.Batch
 	emitTuples int
 	emitPool   *relation.BatchPool
@@ -114,7 +116,7 @@ func (w *inst) run() {
 		// Out-of-core join: both operands have ended; join the partitions
 		// one at a time, emitting result chunks downstream. This runs on
 		// the worker goroutine, not the processor dispatcher — it may
-		// block on file I/O and on downstream channel sends, and blocked
+		// block on file I/O and on downstream mailbox posts, and blocked
 		// processes must not occupy a processor.
 		err := w.grace.Drain(func(results *relation.Batch) error {
 			w.emit(results)
@@ -367,17 +369,18 @@ func (w *inst) emit(results *relation.Batch) {
 	}
 }
 
-// flush sends buffer d down its stream, transferring ownership of the
-// pooled batch to the consumer (which returns it to the pool once
-// exhausted). The final gather at the collect operator is excluded from the
-// transport statistics, as in the simulator.
+// flush posts buffer d into its stream's consumer mailbox (or egress
+// channel), transferring ownership of the pooled batch to the consumer
+// (which returns it to the pool once exhausted). The final gather at the
+// collect operator is excluded from the transport statistics, as in the
+// simulator.
 func (w *inst) flush(d int) {
 	buf := w.outBufs[d]
 	if buf == nil || buf.Len() == 0 {
 		return
 	}
 	w.outBufs[d] = nil
-	s := w.outs[d]
+	s := &w.outs[d]
 	if w.op.edge.to.op.Kind != xra.OpCollect {
 		if s.remote {
 			w.r.remoteTuples.Add(int64(buf.Len()))
@@ -386,24 +389,35 @@ func (w *inst) flush(d int) {
 		}
 		w.r.batches.Add(1)
 	}
+	if s.egress == nil {
+		w.r.post(s.to, item{port: s.port, batch: buf})
+		return
+	}
 	select {
-	case s.ch <- buf:
+	case s.egress <- buf:
 	case <-w.r.ctx.Done():
 	}
 }
 
-// finish flushes remaining buffers, ends every outgoing stream, and reports
-// operator completion when the last sibling process finishes.
+// finish flushes remaining buffers, ends every outgoing stream (an
+// end-of-stream marker posted to the consumer's mailbox, or a closed egress
+// channel), and reports operator completion when the last sibling process
+// finishes.
 func (w *inst) finish() {
 	if w.op.edge != nil {
 		for d := range w.outBufs {
 			w.flush(d)
 		}
-		for _, s := range w.outs {
-			close(s.ch)
+		for i := range w.outs {
+			s := &w.outs[i]
+			if s.egress != nil {
+				close(s.egress)
+			} else {
+				w.r.post(s.to, item{port: s.port, eos: true})
+			}
 		}
 	}
-	// The join state is dead once the output streams are closed; recycle
+	// The join state is dead once the output streams have ended; recycle
 	// its table memory for the joins still running.
 	if w.simple != nil {
 		w.simple.Release()

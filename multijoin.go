@@ -230,11 +230,11 @@ func WithMaxProcs(n int) ExecOption { return core.WithMaxProcs(n) }
 // WithBatchTuples sets the transport batch size (pipelining granularity).
 func WithBatchTuples(n int) ExecOption { return core.WithBatchTuples(n) }
 
-// WithChannelDepth sets the per-stream buffer capacity, in batches, on
-// wall-clock runtimes. The depth is resolved once per run; each process's
-// mailbox is additionally sized to depth × its incoming stream count so
-// that stream forwarders never block producers of a consumer that has not
-// started yet (see parallel.Config.ChannelDepth for the heuristic).
+// WithChannelDepth sets the number of batches buffered per incoming tuple
+// stream on wall-clock runtimes. The depth is resolved once per run;
+// producers post straight into their consumer's mailbox, which holds
+// depth × its incoming stream count batches (see
+// parallel.Config.ChannelDepth).
 func WithChannelDepth(n int) ExecOption { return core.WithChannelDepth(n) }
 
 // WithMemoryBudget caps the spill runtime's live tuple memory at bytes:
@@ -378,7 +378,7 @@ func RuntimeNames() []string { return core.RuntimeNames() }
 // with real concurrency instead of the virtual clock.
 type (
 	// ParallelConfig parameterizes the goroutine runtime: processor cap,
-	// batch size, stream channel depth.
+	// batch size, per-stream buffer depth.
 	//
 	// Deprecated: pass WithMaxProcs/WithBatchTuples/WithChannelDepth to
 	// Exec instead.
@@ -403,9 +403,10 @@ type (
 func Run(q Query) (*RunResult, error) { return q.Run() }
 
 // ExecuteParallel plans the query and executes the plan with real goroutine
-// concurrency: one worker goroutine per operation process, one buffered
-// channel per tuple stream (n×m per redistribution edge), and a semaphore
-// capping concurrent computation at ParallelConfig.MaxProcs processors. It
+// concurrency: one worker goroutine and one mailbox per operation process
+// (each of the n×m tuple streams per redistribution edge posts into its
+// consumer's mailbox), and per-processor run queues capping concurrent
+// computation at ParallelConfig.MaxProcs processors. It
 // produces the same result multiset as Run and Reference, measured in wall
 // time instead of virtual time.
 //
